@@ -21,7 +21,13 @@ from .features import (
     feature_label,
     parse_feature,
 )
-from .blinding import BlindedSample, SubsetIndex, blind_sample, knn_indices
+from .blinding import (
+    BlindedSample,
+    SubsetIndex,
+    blind_sample,
+    knn_indices,
+    neighbor_sets,
+)
 from .statproc import (
     ClassifierModel,
     FpcaModel,
@@ -76,6 +82,7 @@ __all__ = [
     "SubsetIndex",
     "BlindedSample",
     "knn_indices",
+    "neighbor_sets",
     "blind_sample",
     "FpcaModel",
     "ScalarRegModel",

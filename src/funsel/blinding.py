@@ -4,6 +4,9 @@ Given a subset I of feature columns, each curve is replaced by the mean of
 the r curves whose feature vectors (restricted to I) are closest in
 Euclidean distance. The query curve itself is always one of its own
 neighbors, so r=1 blinding is the identity.
+
+`neighbor_sets` builds the n-by-r neighbor table: `blind_sample` averages
+curves over it, the subset search averages procedure outputs over it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ import numpy as np
 from .fdata import FunctionalSample
 from .features import FeatureMatrix
 
-__all__ = ["SubsetIndex", "BlindedSample", "knn_indices", "blind_sample"]
+__all__ = [
+    "SubsetIndex",
+    "BlindedSample",
+    "knn_indices",
+    "neighbor_sets",
+    "blind_sample",
+]
 
 
 @dataclass(frozen=True, order=True)
@@ -60,7 +69,9 @@ class BlindedSample:
     neighbor_sets: np.ndarray
 
 
-def _check_subset(fm: FeatureMatrix, subset: SubsetIndex) -> None:
+def _check_query(fm: FeatureMatrix, subset: SubsetIndex, r: int) -> None:
+    if not 1 <= r <= fm.n:
+        raise ValueError(f"need 1 <= r <= n, got r={r}, n={fm.n}")
     if subset.indices[-1] >= fm.p:
         raise ValueError(
             f"subset {subset.indices} references columns beyond p={fm.p}"
@@ -85,14 +96,21 @@ def knn_indices(
     sits at distance zero and is always returned first. Remaining ties are
     broken toward the smaller index.
     """
-    n = fm.n
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    if not 0 <= j < n:
-        raise ValueError(f"row index {j} outside sample of size {n}")
-    _check_subset(fm, subset)
+    _check_query(fm, subset, r)
+    if not 0 <= j < fm.n:
+        raise ValueError(f"row index {j} outside sample of size {fm.n}")
     features = fm.values[:, subset.indices]
     return _neighbor_order(features, j)[:r]
+
+
+def neighbor_sets(fm: FeatureMatrix, subset: SubsetIndex, r: int) -> np.ndarray:
+    """n-by-r table whose row j is knn_indices(fm, subset, j, r)."""
+    _check_query(fm, subset, r)
+    features = np.ascontiguousarray(fm.values[:, subset.indices])
+    table = np.empty((fm.n, r), dtype=np.intp)
+    for j in range(fm.n):
+        table[j] = _neighbor_order(features, j)[:r]
+    return table
 
 
 def blind_sample(
@@ -101,12 +119,5 @@ def blind_sample(
     """Replace each curve by the pointwise mean of its r feature-neighbors."""
     if fm.n != sample.n:
         raise ValueError("feature matrix and sample disagree on n")
-    if not 1 <= r <= sample.n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={sample.n}")
-    _check_subset(fm, subset)
-    features = np.ascontiguousarray(fm.values[:, subset.indices])
-    neighbor_sets = np.empty((sample.n, r), dtype=np.intp)
-    for j in range(sample.n):
-        neighbor_sets[j] = _neighbor_order(features, j)[:r]
-    blinded = sample.curves[neighbor_sets].mean(axis=1)
-    return BlindedSample(blinded, subset, r, neighbor_sets)
+    table = neighbor_sets(fm, subset, r)
+    return BlindedSample(sample.curves[table].mean(axis=1), subset, r, table)

@@ -163,7 +163,7 @@ _SEARCH_DEFAULTS = {
     "epsilon_tol": 0.05,
     "d1": 1,
     "n_keep": 3,
-    "n_branch": 5,
+    "n_branch": None,  # defaults to min(5, p)
     "r": 3,
     "d_max": None,  # defaults to p
     "max_rounds": 50,
@@ -324,6 +324,8 @@ def run_select(cfg: dict) -> dict:
     search_cfg = dict(cfg["search"])
     if search_cfg.get("d_max") is None:
         search_cfg["d_max"] = len(specs)
+    if search_cfg.get("n_branch") is None:
+        search_cfg["n_branch"] = min(5, len(specs))
     if search_cfg.get("seed") is None:
         if search_cfg["d_max"] != search_cfg["d1"]:
             raise ValueError("--seed is required unless d_max equals d1")

@@ -18,6 +18,7 @@ __all__ = [
     "inner_product",
     "l2_norm",
     "center",
+    "w_orthonormal_rows",
 ]
 
 
@@ -158,3 +159,21 @@ def center(sample: FunctionalSample) -> tuple[FunctionalSample, np.ndarray]:
     mean = sample.curves.mean(axis=0)
     centered = FunctionalSample(sample.grid, sample.curves - mean, sample.ids)
     return centered, mean
+
+
+def w_orthonormal_rows(candidates, w: np.ndarray, basis=()):
+    """Yield the candidate rows Gram-Schmidt orthonormalised under weights w.
+
+    Each is made orthogonal to `basis` and the rows already yielded, with
+    one re-pass for stability; one left with norm <= 1e-10 is skipped.
+    """
+    rows = list(basis)
+    for candidate in candidates:
+        v = np.array(candidate, dtype=float)
+        for _ in range(2):
+            for u in rows:
+                v = v - np.sum(w * u * v) * u
+        nrm = np.sqrt(np.sum(w * v * v))
+        if nrm > 1e-10:
+            rows.append(v / nrm)
+            yield rows[-1]

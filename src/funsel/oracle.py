@@ -5,7 +5,8 @@ closed forms for the blinded process (the conditional expectation of the
 signal given linear features) and for the population objectives. This
 module provides those, plus brute-force subset enumeration, a greedy
 forward-selection reference, and a consistency harness that tabulates the
-gap between the empirical and population objectives as n grows.
+gap between the empirical and population objectives as n grows, scoring
+each sample through the subset search's own evaluator.
 
 The closed forms treat the model's noise as entering the feature channel
 independently of the signal, so a feature orthogonal to the basis carries
@@ -15,23 +16,18 @@ no information and blinds exactly to the mean curve.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import count, islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .blinding import SubsetIndex, blind_sample
-from .fdata import FunctionalSample, Grid
+from .blinding import SubsetIndex
+from .fdata import FunctionalSample, Grid, w_orthonormal_rows
 from .features import FeatureSpec, build_feature_matrix, weight_curve
-from .objectives import (
-    DegenerateObjectiveError,
-    ObjectiveValue,
-    h_pca,
-    h_reg_functional,
-    h_reg_scalar,
-)
+from .objectives import DegenerateObjectiveError, Objective, ObjectiveValue
+from .search import make_evaluator, scored_subsets
 from .statproc import (
     fit_fpca,
     fit_functional_regression,
@@ -56,37 +52,16 @@ __all__ = [
     "write_consistency_csv",
 ]
 
-_ENUM_CAP = 1_000_000
-
-
-def _w_orthonormalize(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt under the weighted inner product, with one re-pass."""
-    out = []
-    for row in np.asarray(rows, dtype=float):
-        v = row.copy()
-        for _ in range(2):
-            for u in out:
-                v = v - np.sum(w * u * v) * u
-        nrm = np.sqrt(np.sum(w * v * v))
-        if nrm < 1e-10:
-            raise np.linalg.LinAlgError("basis rows are linearly dependent")
-        out.append(v / nrm)
-    return np.array(out)
-
-
 def fourier_basis(grid: Grid, k: int) -> np.ndarray:
     """k sine/cosine curves, orthonormalized under the grid quadrature."""
     if k < 1:
         raise ValueError("need at least one basis curve")
     u = (grid.points - grid.a) / grid.span
-    rows = []
-    mode = 1
-    while len(rows) < k:
-        rows.append(np.sin(2.0 * np.pi * mode * u))
-        if len(rows) < k:
-            rows.append(np.cos(2.0 * np.pi * mode * u))
-        mode += 1
-    return _w_orthonormalize(np.array(rows), grid.weights)
+    waves = (f(2.0 * np.pi * m * u) for m in count(1) for f in (np.sin, np.cos))
+    out = list(w_orthonormal_rows(islice(waves, k), grid.weights))
+    if len(out) < k:
+        raise np.linalg.LinAlgError("basis rows are linearly dependent")
+    return np.array(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,18 +239,7 @@ def enumerate_all(
     evaluate: Callable[[SubsetIndex], ObjectiveValue], p: int, d: int
 ) -> list[tuple[SubsetIndex, float]]:
     """Exact rescaled-objective ranking of every subset of cardinality <= d."""
-    total = sum(math.comb(p, c) for c in range(1, d + 1))
-    if total > _ENUM_CAP:
-        raise ValueError(f"enumeration of {total} subsets exceeds the cap")
-    ranked: list[tuple[SubsetIndex, float]] = []
-    for card in range(1, d + 1):
-        for combo in itertools.combinations(range(p), card):
-            subset = SubsetIndex(combo)
-            try:
-                value = evaluate(subset)
-            except DegenerateObjectiveError:
-                continue
-            ranked.append((subset, value.rescaled))
+    ranked = [(s, v.rescaled) for s, v in scored_subsets(evaluate, p, d)]
     ranked.sort(key=lambda sv: (sv[1], len(sv[0]), sv[0].indices))
     return ranked
 
@@ -321,23 +285,22 @@ class ConsistencyRow:
     abs_err: float
 
 
-def _empirical_h(model: KlModel, task, sample: FunctionalSample, blinded) -> float:
+def _fitted_objective(model: KlModel, task, sample: FunctionalSample) -> Objective:
+    """The task's procedure fitted on `sample`, as the objective it drives."""
     if isinstance(task, PcaTask):
-        fitted = fit_fpca(sample, task.n_components)
-        return h_pca(fitted, sample, blinded).raw
+        return Objective("pca", fit_fpca(sample, task.n_components))
+    w = model.grid.weights
     if isinstance(task, ScalarRegTask):
-        w = model.grid.weights
         y = sample.curves @ (w * np.asarray(task.beta, dtype=float))
         fitted = fit_scalar_regression(sample, y, task.n_components)
-        return h_reg_scalar(fitted, sample, blinded).raw
+        return Objective("reg-scalar", fitted)
     if isinstance(task, FunRegTask):
-        w = model.grid.weights
         responses = (sample.curves * w) @ np.asarray(task.beta_surface, dtype=float)
         y_sample = FunctionalSample(task.y_grid, responses)
         fitted = fit_functional_regression(
             sample, y_sample, task.n_x_components, task.n_y_components
         )
-        return h_reg_functional(fitted, sample, blinded).raw
+        return Objective("reg-fun", fitted)
     raise TypeError(f"unknown population task {task!r}")
 
 
@@ -353,9 +316,10 @@ def consistency_harness(
 ) -> list[ConsistencyRow]:
     """Tabulate |h_n(I) - h(I)| over repeated simulations at each n.
 
-    Each repetition simulates a fresh sample, blinds it with
-    r = r_rule(n) neighbors, refits the procedure, and evaluates the
-    empirical objective; the population value comes from the closed form.
+    Each repetition simulates a fresh sample, refits the procedure, and
+    evaluates the empirical objective with r = r_rule(n) neighbors through
+    search.make_evaluator (neighbor averages of the procedure's outputs);
+    the population value comes from the closed form.
     """
     r_rule = r_rule or default_r_rule
     specs = tuple(specs)
@@ -370,8 +334,8 @@ def consistency_harness(
             stream = np.random.SeedSequence(entropy=seed, spawn_key=(n, rep))
             sample = simulate(model, n, stream)
             fm = build_feature_matrix(sample, specs)
-            blinded = blind_sample(sample, fm, subset, r)
-            h_emp = _empirical_h(model, task, sample, blinded)
+            objective = _fitted_objective(model, task, sample)
+            h_emp = make_evaluator(sample, fm, objective, r)(subset).raw
             rows.append(
                 ConsistencyRow(
                     population.kind, n, rep, h_emp, population.value,

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blinding import SubsetIndex, blind_sample
+from .blinding import SubsetIndex, neighbor_sets
 from .fdata import FunctionalSample
 from .features import FeatureSpec, build_feature_matrix, standardize_columns
 from .objectives import DegenerateObjectiveError, Objective, ObjectiveValue
@@ -33,6 +33,7 @@ __all__ = [
     "SearchResult",
     "SearchFailure",
     "make_evaluator",
+    "scored_subsets",
     "exhaustive_step",
     "stochastic_step",
     "revision_step",
@@ -43,11 +44,19 @@ __all__ = [
 # Recorded in reports so a run can be replayed elsewhere.
 RNG_ALGORITHM = "numpy PCG64, SeedSequence(seed, spawn_key=(round, rank, phase))"
 
-_MAX_EXHAUSTIVE = 1_000_000
+_MAX_SUBSETS = 1_000_000
 
 
 class SearchFailure(RuntimeError):
     """No subset could be scored (every candidate was degenerate)."""
+
+
+def _check_subset_count(p: int, d: int) -> None:
+    total = sum(math.comb(p, c) for c in range(1, d + 1))
+    if total > _MAX_SUBSETS:
+        raise ValueError(
+            f"{total} subsets of size <= {d} exceed the cap of {_MAX_SUBSETS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -91,11 +100,7 @@ class SearchConfig:
             raise ValueError("r must be at least 1")
         if self.max_rounds < 0:
             raise ValueError("max_rounds cannot be negative")
-        total = sum(math.comb(p, c) for c in range(1, self.d1 + 1))
-        if total > _MAX_EXHAUSTIVE:
-            raise ValueError(
-                f"exhaustive step would score {total} subsets; lower d1"
-            )
+        _check_subset_count(p, self.d1)
 
 
 @dataclass(frozen=True)
@@ -118,30 +123,44 @@ class SearchResult:
 
 Evaluator = Callable[[SubsetIndex], ObjectiveValue]
 
-_DEGENERATE = object()
-
 
 def make_evaluator(
     sample: FunctionalSample, fm, objective: Objective, r: int
 ) -> Evaluator:
-    """Subset scorer with a cache, so repeated candidates blind only once."""
-    cache: dict[SubsetIndex, object] = {}
+    """Subset scorer with a cache, so repeated candidates are scored once.
+
+    The procedure's outputs on the original curves are computed once, and
+    a subset is scored on their averages over its r-NN neighbor sets (see
+    Objective.scorer); only classification averages whole curves. A
+    degenerate objective (zero denominator) raises for every subset.
+    """
+    if fm.n != sample.n:
+        raise ValueError("feature matrix and sample disagree on n")
+    score, outputs = objective.scorer(sample.curves)
+    cache: dict[SubsetIndex, ObjectiveValue] = {}
 
     def evaluate(subset: SubsetIndex) -> ObjectiveValue:
-        hit = cache.get(subset)
-        if hit is _DEGENERATE:
-            raise DegenerateObjectiveError("cached degenerate subset")
-        if hit is not None:
-            return hit
-        try:
-            value = objective.evaluate(sample, blind_sample(sample, fm, subset, r))
-        except DegenerateObjectiveError:
-            cache[subset] = _DEGENERATE
-            raise
-        cache[subset] = value
-        return value
+        if subset not in cache:
+            cache[subset] = score(outputs[neighbor_sets(fm, subset, r)].mean(axis=1))
+        return cache[subset]
 
     return evaluate
+
+
+def scored_subsets(evaluate: Evaluator, p: int, d: int):
+    """Yield (subset, value) by size, then lexicographically, for sizes <= d.
+
+    Degenerate subsets are skipped; more than the cap are refused up front.
+    """
+    _check_subset_count(p, d)
+    for card in range(1, d + 1):
+        for combo in itertools.combinations(range(p), card):
+            subset = SubsetIndex(combo)
+            try:
+                value = evaluate(subset)
+            except DegenerateObjectiveError:
+                continue
+            yield subset, value
 
 
 def _rank_key(subset: SubsetIndex, value: ObjectiveValue):
@@ -185,16 +204,8 @@ def exhaustive_step(
     the search fails.
     """
     trace = trace if trace is not None else []
-    scored: list[tuple[SubsetIndex, ObjectiveValue]] = []
-    for card in range(1, config.d1 + 1):
-        for combo in itertools.combinations(range(p), card):
-            subset = SubsetIndex(combo)
-            try:
-                value = evaluate(subset)
-            except DegenerateObjectiveError:
-                continue
-            trace.append(TraceEntry(0, subset, value))
-            scored.append((subset, value))
+    scored = list(scored_subsets(evaluate, p, config.d1))
+    trace.extend(TraceEntry(0, subset, value) for subset, value in scored)
     if not scored:
         raise SearchFailure("every subset of the exhaustive step was degenerate")
     scored.sort(key=lambda sv: _rank_key(*sv))

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .fdata import FunctionalSample, Grid, as_curve, center
+from .fdata import FunctionalSample, Grid, as_curve, center, w_orthonormal_rows
 
 __all__ = [
     "FpcaModel",
@@ -68,30 +69,6 @@ def _fix_signs(eigenfunctions: np.ndarray) -> np.ndarray:
     return out
 
 
-def _complete_w_orthonormal(
-    existing: np.ndarray, need: int, w: np.ndarray
-) -> np.ndarray:
-    """Extend a W-orthonormal set with `need` further orthonormal rows."""
-    rows = [row for row in existing]
-    added: list[np.ndarray] = []
-    for pivot in range(w.size):
-        if len(added) == need:
-            break
-        v = np.zeros(w.size)
-        v[pivot] = 1.0
-        for _ in range(2):  # re-orthogonalize for stability
-            for row in rows:
-                v = v - np.sum(w * row * v) * row
-        nrm = np.sqrt(np.sum(w * v * v))
-        if nrm > 1e-10:
-            v = v / nrm
-            rows.append(v)
-            added.append(v)
-    if len(added) < need:
-        raise np.linalg.LinAlgError("cannot complete orthonormal eigenbasis")
-    return np.array(added)
-
-
 def fit_fpca(sample: FunctionalSample, l: int) -> FpcaModel:
     """Leading `l` eigenpairs of the empirical covariance operator.
 
@@ -122,7 +99,11 @@ def fit_fpca(sample: FunctionalSample, l: int) -> FpcaModel:
                 funcs[k] = xc.T @ vecs[:, k] / np.sqrt(n * vals[k])
                 positive = k + 1
         if positive < l:
-            funcs[positive:] = _complete_w_orthonormal(funcs[:positive], l - positive, w)
+            rows = w_orthonormal_rows(np.eye(n_pts), w, funcs[:positive])
+            added = list(islice(rows, l - positive))
+            if len(added) < l - positive:
+                raise np.linalg.LinAlgError("cannot complete orthonormal eigenbasis")
+            funcs[positive:] = added
             vals[positive:] = 0.0
     else:
         cov = xc.T @ xc / n

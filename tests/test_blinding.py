@@ -12,6 +12,8 @@ from funsel import (
     blind_sample,
     build_feature_matrix,
     knn_indices,
+    neighbor_sets,
+    parse_feature,
 )
 
 
@@ -111,6 +113,28 @@ class TestBlindSample:
         sample, fm = _three_lines()
         with pytest.raises(ValueError, match="beyond p"):
             blind_sample(sample, fm, SubsetIndex.of([5]), 1)
+
+
+def _random_walk_features(menu):
+    """40 random walks: upx@0.0 takes few integer values, so ties abound."""
+    rng = np.random.default_rng(4)
+    g = Grid.uniform(0.0, 1.0, 21)
+    sample = FunctionalSample(g, rng.normal(size=(40, 21)).cumsum(axis=1))
+    return build_feature_matrix(sample, [parse_feature(t) for t in menu])
+
+
+class TestNeighborSets:
+    @pytest.mark.parametrize(
+        "menu, tied", [(["point@3", "point@14"], False), (["upx@0.0"], True)]
+    )
+    def test_rows_match_knn_indices(self, menu, tied):
+        fm = _random_walk_features(menu)
+        assert (np.unique(fm.values, axis=0).shape[0] < fm.n) == tied
+        subset = SubsetIndex.of(range(fm.p))
+        table = neighbor_sets(fm, subset, 7)
+        assert table.shape == (40, 7)
+        for j in range(40):
+            assert np.array_equal(table[j], knn_indices(fm, subset, j, 7))
 
 
 @settings(max_examples=30, deadline=None)

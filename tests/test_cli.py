@@ -244,6 +244,19 @@ class TestSelectCommand:
         assert report["config"]["search"]["r"] == 5  # flag beats config
         assert report["config"]["search"]["seed"] == 4
 
+    def test_n_branch_default_fits_small_menu(self, tmp_path, capsys):
+        _, curves = _synthetic_curves(tmp_path)
+        out = tmp_path / "r.json"
+        args = ["select", "--task", "pca", "--curves", curves, "--r", "4",
+                "--seed", "1", "--n-components", "2", "--out", str(out),
+                "--feature", "point@0", "--feature", "point@10",
+                "--feature", "point@20"]
+        assert main(args) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["search"]["n_branch"] == 3  # min(5, p)
+        assert main([*args, "--n1", "5"]) == 1  # explicit values stay strict
+        assert "need 1 <= n_branch <= p, got 5" in capsys.readouterr().err
+
     def test_missing_file_is_error_exit(self, tmp_path, capsys):
         rc = main(_select_args(str(tmp_path / "nope.csv"), str(tmp_path / "r.json")))
         assert rc == 1

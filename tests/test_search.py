@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from funsel import (
     DegenerateObjectiveError,
+    FunctionalSample,
     Grid,
     Objective,
     ObjectiveValue,
@@ -12,8 +14,13 @@ from funsel import (
     SearchConfig,
     SearchFailure,
     SubsetIndex,
+    blind_sample,
     exhaustive_step,
+    fit_classifier,
     fit_fpca,
+    fit_functional_regression,
+    fit_scalar_regression,
+    parse_feature,
     revision_step,
     run_search,
     stochastic_step,
@@ -289,3 +296,59 @@ class TestRunSearch:
             _config(epsilon_tol=0.0).validate(8)
         with pytest.raises(ValueError, match="n_branch"):
             _config(n_branch=9).validate(8)
+
+
+def _objective_of_kind(name, sample):
+    """Each objective kind, and both classifier kinds, fitted on `sample`."""
+    g = sample.grid
+    if name == "pca":
+        return Objective("pca", fit_fpca(sample, 3))
+    if name == "reg-scalar":
+        y = sample.curves @ (g.weights * np.sin(3.0 * g.points))
+        return Objective("reg-scalar", fit_scalar_regression(sample, y, 3))
+    if name == "reg-fun":
+        y_grid = Grid.uniform(0.0, 2.0, 17)
+        surface = np.outer(np.cos(g.points), np.sin(y_grid.points))
+        y = FunctionalSample(y_grid, (sample.curves * g.weights) @ surface)
+        return Objective("reg-fun", fit_functional_regression(sample, y, 3, 2))
+    labels = (sample.curves[:, 10] > 0).astype(int)
+    return Objective("classify", fit_classifier(sample, labels, kind=name, k=5))
+
+
+class TestMakeEvaluator:
+    @pytest.mark.parametrize(
+        "name", ["pca", "reg-scalar", "reg-fun", "nearest_centroid", "knn"]
+    )
+    def test_matches_objective_on_blinded_curves(self, name):
+        g = Grid.uniform(0.0, 1.0, 41)
+        model = KlModel(g, np.zeros(41), fourier_basis(g, 3), np.array([9.0, 4.0, 1.0]))
+        sample = simulate(model, 90, 7)
+        specs = [parse_feature(t) for t in ("point@5", "point@20", "point@33", "upx@0.0")]
+        fm = build_feature_matrix(sample, specs)
+        objective = _objective_of_kind(name, sample)
+        evaluate = make_evaluator(sample, fm, objective, 8)
+        for combo in ((0,), (1,), (3,), (0, 2), (1, 3), (0, 1, 2, 3)):
+            subset = SubsetIndex(combo)
+            got = evaluate(subset)
+            want = objective.evaluate(sample, blind_sample(sample, fm, subset, 8))
+            if objective.kind == "classify":
+                assert got == want
+            else:
+                assert got.raw == pytest.approx(want.raw, rel=1e-12, abs=0.0)
+                assert got.rescaled == pytest.approx(want.rescaled, rel=1e-12, abs=0.0)
+
+    def test_memory_stays_below_the_curve_gather(self):
+        # averaging curves would gather n*r*N floats (64 MB here)
+        n, r, n_pts = 400, 100, 201
+        g = Grid.uniform(0.0, 1.0, n_pts)
+        model = KlModel(g, np.zeros(n_pts), fourier_basis(g, 3), np.array([9.0, 4.0, 1.0]))
+        sample = simulate(model, n, 0)
+        fm = build_feature_matrix(sample, [PointEval(50), PointEval(150)])
+        evaluate = make_evaluator(sample, fm, Objective("pca", fit_fpca(sample, 3)), r)
+        tracemalloc.start()
+        try:
+            evaluate(SubsetIndex.of([0, 1]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * r * n_pts * 8 / 10
