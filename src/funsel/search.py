@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blinding import SubsetIndex, neighbor_sets
+from .blinding import SubsetIndex, neighbor_means, neighbor_sets
 from .fdata import FunctionalSample
 from .features import FeatureSpec, build_feature_matrix, standardize_columns
 from .objectives import DegenerateObjectiveError, Objective, ObjectiveValue
@@ -131,8 +131,10 @@ def make_evaluator(
 
     The procedure's outputs on the original curves are computed once, and
     a subset is scored on their averages over its r-NN neighbor sets (see
-    Objective.scorer); only classification averages whole curves. A
-    degenerate objective (zero denominator) raises for every subset.
+    Objective.scorer); only classification averages whole curves. Each
+    call holds the n-by-r neighbor table and the n averaged rows, never the
+    n*r gather. A degenerate objective (zero denominator) raises for every
+    subset.
     """
     if fm.n != sample.n:
         raise ValueError("feature matrix and sample disagree on n")
@@ -141,7 +143,7 @@ def make_evaluator(
 
     def evaluate(subset: SubsetIndex) -> ObjectiveValue:
         if subset not in cache:
-            cache[subset] = score(outputs[neighbor_sets(fm, subset, r)].mean(axis=1))
+            cache[subset] = score(neighbor_means(outputs, neighbor_sets(fm, subset, r)))
         return cache[subset]
 
     return evaluate

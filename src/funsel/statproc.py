@@ -16,6 +16,7 @@ from itertools import islice
 
 import numpy as np
 
+from .blinding import _nearest
 from .fdata import FunctionalSample, Grid, as_curve, center, w_orthonormal_rows
 
 __all__ = [
@@ -362,15 +363,9 @@ def classify_batch(model: ClassifierModel, curves: np.ndarray) -> np.ndarray:
         d2 = _sq_dists_to(model.centroids, curves, w)
         return model.classes[np.argmin(d2, axis=1)]
     d2 = _sq_dists_to(model.train_curves, curves, w)
-    n_train = model.train_curves.shape[0]
-    idx = np.arange(n_train)
-    labels = np.empty(curves.shape[0], dtype=int)
-    for q in range(curves.shape[0]):
-        order = np.lexsort((idx, d2[q]))[: model.k]
-        votes = model.train_labels[order]
-        counts = np.array([(votes == c).sum() for c in model.classes])
-        labels[q] = model.classes[int(np.argmax(counts))]
-    return labels
+    votes = model.train_labels[_nearest(d2, model.k)]
+    counts = (votes[:, :, None] == model.classes).sum(axis=1)
+    return model.classes[np.argmax(counts, axis=1)]
 
 
 def classify(model: ClassifierModel, x) -> int:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,10 @@ from funsel import (
     neighbor_sets,
     parse_feature,
 )
+from funsel import blinding
+from funsel.blinding import neighbor_means
+from funsel.features import FeatureMatrix
+from funsel.oracle import KlModel, fourier_basis, simulate
 
 
 def _three_lines():
@@ -30,6 +36,30 @@ def _brute_force_neighbors(values, j, r):
     d = np.sqrt(((values - values[j]) ** 2).sum(axis=1))
     keyed = sorted(range(len(d)), key=lambda m: (d[m], m != j, m))
     return keyed[:r]
+
+
+def _neighbor_order(features: np.ndarray, j: int) -> np.ndarray:
+    """Row order by (distance to row j, self first, smaller index)."""
+    diff = features - features[j]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    n = d2.size
+    idx = np.arange(n)
+    return np.lexsort((idx, idx != j, d2))
+
+
+def _reference_rows(values, r, rows):
+    """Full-sort reference for the given rows of the neighbor table."""
+    features = np.ascontiguousarray(values, dtype=float)
+    return np.array([_neighbor_order(features, j)[:r] for j in rows])
+
+
+def _matrix(values):
+    values = np.asarray(values, dtype=float)
+    return FeatureMatrix(values, tuple(PointEval(i) for i in range(values.shape[1])))
+
+
+def _all_columns(fm):
+    return SubsetIndex.of(range(fm.p))
 
 
 class TestSubsetIndex:
@@ -135,6 +165,98 @@ class TestNeighborSets:
         assert table.shape == (40, 7)
         for j in range(40):
             assert np.array_equal(table[j], knn_indices(fm, subset, j, 7))
+
+    @pytest.mark.parametrize(
+        "menu, tied", [(["point@3", "point@14"], False), (["upx@0.0"], True)]
+    )
+    def test_rows_match_lexsort_reference(self, menu, tied):
+        fm = _random_walk_features(menu)
+        assert (np.unique(fm.values, axis=0).shape[0] < fm.n) == tied
+        for r in (1, 7, 40):
+            want = _reference_rows(fm.values, r, range(40))
+            assert np.array_equal(neighbor_sets(fm, _all_columns(fm), r), want)
+
+    def test_one_row_per_block_when_a_row_exceeds_the_block(self):
+        rng = np.random.default_rng(8)
+        n, k = 4200, 8
+        assert n * k > blinding._BLOCK
+        values = rng.integers(0, 4, size=(n, k))  # heavy ties
+        fm = _matrix(values)
+        table = neighbor_sets(fm, _all_columns(fm), 50)
+        rows = [0, 1, 2099, n - 2, n - 1]
+        assert np.array_equal(table[rows], _reference_rows(fm.values, 50, rows))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 30, 31])
+    @pytest.mark.parametrize("r", [1, 5, 31])
+    def test_block_edges(self, monkeypatch, rows, r):
+        # 31 rows in blocks of `rows` query rows; mostly a ragged last block
+        rng = np.random.default_rng(9)
+        values = np.vstack([rng.normal(size=(15, 3))] * 2 + [rng.normal(size=(1, 3))])
+        fm = _matrix(values)
+        monkeypatch.setattr(blinding, "_BLOCK", rows * 31 * 3)
+        want = _reference_rows(fm.values, r, range(31))
+        assert np.array_equal(neighbor_sets(fm, _all_columns(fm), r), want)
+        for j in (0, 15, 30):
+            assert np.array_equal(knn_indices(fm, _all_columns(fm), j, r), want[j])
+
+
+def _feature_values(draw, n, k):
+    kind = draw(st.sampled_from(["continuous", "integers", "duplicates", "constant"]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "continuous":
+        return rng.normal(size=(n, k)) * 10.0 ** rng.integers(-3, 4)
+    if kind == "integers":
+        return rng.integers(-2, 3, size=(n, k)).astype(float)
+    if kind == "duplicates":
+        base = rng.normal(size=(max(1, n // 3), k))
+        return base[rng.integers(0, base.shape[0], size=n)]
+    return np.full((n, k), float(rng.normal()))
+
+
+@st.composite
+def _neighbor_problems(draw):
+    n = draw(st.integers(min_value=2, max_value=300))
+    k = draw(st.integers(min_value=1, max_value=8))
+    r = draw(st.integers(min_value=1, max_value=n))
+    return _feature_values(draw, n, k), r
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_neighbor_problems())
+def test_neighbor_sets_match_lexsort_reference(problem):
+    values, r = problem
+    fm = _matrix(values)
+    want = _reference_rows(fm.values, r, range(fm.n))
+    assert np.array_equal(neighbor_sets(fm, _all_columns(fm), r), want)
+
+
+class TestNeighborMeans:
+    @pytest.mark.parametrize(
+        "shape", [(50,), (50, 1), (50, 3), (50, 41), (7, 2, 5)]
+    )
+    @pytest.mark.parametrize("rows", [1, 3, 7, 50])
+    def test_bit_identical_to_the_whole_gather(self, monkeypatch, shape, rows):
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=shape)
+        table = rng.integers(0, shape[0], size=(shape[0], 9))
+        monkeypatch.setattr(blinding, "_BLOCK", rows * 9 * values[:1].size)
+        assert np.array_equal(neighbor_means(values, table), values[table].mean(axis=1))
+
+    def test_blind_sample_memory_stays_below_the_curve_gather(self):
+        # the whole gather of n*r*N floats would be 64 MB here
+        n, r, n_pts = 400, 100, 201
+        g = Grid.uniform(0.0, 1.0, n_pts)
+        model = KlModel(g, np.zeros(n_pts), fourier_basis(g, 3), np.array([9.0, 4.0, 1.0]))
+        sample = simulate(model, n, 0)
+        fm = build_feature_matrix(sample, [PointEval(50), PointEval(150)])
+        tracemalloc.start()
+        try:
+            blind_sample(sample, fm, SubsetIndex.of([0, 1]), r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * r * n_pts * 8 / 10
 
 
 @settings(max_examples=30, deadline=None)

@@ -352,3 +352,19 @@ class TestMakeEvaluator:
         finally:
             tracemalloc.stop()
         assert peak < n * r * n_pts * 8 / 10
+
+    def test_memory_stays_below_the_output_gather(self):
+        # pca outputs are n*m scores; their whole n*r*m gather is 7.6 MB here
+        n, r, m, n_pts = 2000, 159, 3, 41
+        g = Grid.uniform(0.0, 1.0, n_pts)
+        model = KlModel(g, np.zeros(n_pts), fourier_basis(g, 3), np.array([9.0, 4.0, 1.0]))
+        sample = simulate(model, n, 0)
+        fm = build_feature_matrix(sample, [PointEval(10), PointEval(30)])
+        evaluate = make_evaluator(sample, fm, Objective("pca", fit_fpca(sample, m)), r)
+        tracemalloc.start()
+        try:
+            evaluate(SubsetIndex.of([0, 1]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * r * m * 8

@@ -17,7 +17,7 @@ from funsel import (
     predict_scalar,
 )
 from funsel.oracle import KlModel, fourier_basis, simulate
-from funsel.statproc import components_for_variance, fpca_scores_matrix
+from funsel.statproc import _sq_dists_to, components_for_variance, fpca_scores_matrix
 
 
 def _kl_sample(n, n_points=51, variances=(4.0, 1.0), seed=0, noise_sd=0.0):
@@ -268,6 +268,28 @@ class TestClassifier:
         counts = {c: (votes == c).sum() for c in np.unique(labels)}
         want = min(counts, key=lambda c: (-counts[c], c))
         assert classify(model, x) == want
+
+    def test_knn_votes_match_lexsort_reference(self):
+        # 3 copies of each curve with mixed labels: tied distances straddle
+        # the k-th place, so the smaller index must decide who votes
+        g = Grid.uniform(0.0, 1.0, 21)
+        rng = np.random.default_rng(60)
+        base = rng.integers(-2, 3, size=(12, g.n_points)).astype(float)
+        train = FunctionalSample(g, np.repeat(base, 3, axis=0))
+        labels = rng.integers(0, 3, size=36)
+        queries = np.vstack([base, base[:6] + 0.5, rng.normal(size=(10, g.n_points))])
+        for k in (1, 2, 4, 5, 36):
+            model = fit_classifier(train, labels, kind="knn", k=k)
+            d2 = _sq_dists_to(model.train_curves, queries, g.weights)
+            idx = np.arange(36)
+            want = []
+            for q in range(queries.shape[0]):
+                votes = labels[np.lexsort((idx, d2[q]))[:k]]
+                counts = np.array([(votes == c).sum() for c in model.classes])
+                want.append(model.classes[int(np.argmax(counts))])
+            assert np.array_equal(classify_batch(model, queries), want)
+        ordered = np.sort(d2, axis=1)
+        assert np.any(ordered[:, 3] == ordered[:, 4])
 
     def test_constant_shift_invariance(self):
         sample, labels, g = self._labeled_gaussians(n=50, seed=50)
